@@ -195,7 +195,6 @@ def restore_instance(blob: Dict[str, Any]) -> Any:
     runtime._chan_bytes = runtime_state["chan_bytes"]
     runtime._gid_seq = itertools.count(runtime_state["spawned"] + 1)
 
-    census = runtime._state_census
     main: Optional[Goroutine] = None
     for entry in sorted(blob["goroutines"], key=lambda e: e["gid"]):
         state = _STATE_BY_VALUE[entry["state"]]
@@ -215,9 +214,7 @@ def restore_instance(blob: Dict[str, Any]) -> Any:
         goro.gc_verdict = entry["verdict"]
         goro.waiting_on = _decode_wait(entry["wait"])
         goro._cached_stack = tuple(entry["frames"])
-        runtime._goroutines[goro.gid] = goro
-        runtime._live_count += 1
-        census[state.census_index] += 1
+        runtime._restore_goroutine(goro)
         if goro.is_main:
             main = goro
     if main is not None:

@@ -154,18 +154,17 @@ class Service:
         no per-goroutine or per-channel state is touched, so the sweep
         stays cheap even at a 8.6M-blocked-goroutine peak.
         """
-        for instance in self.instances:
-            instance.advance_window(window)
+        samples = [instance.advance_window(window) for instance in self.instances]
         sample = aggregate_sample(
             self.now,
             (
                 (
-                    instance.rss(),
-                    instance.leaked_goroutines(),
-                    instance.cpu_utilization(),
-                    instance.runtime.num_goroutines,
+                    metrics.rss_bytes,
+                    metrics.blocked_goroutines,
+                    metrics.cpu_percent,
+                    metrics.goroutines,
                 )
-                for instance in self.instances
+                for metrics in samples
             ),
             self.config.instances_represented,
         )

@@ -27,6 +27,30 @@ WINDOW_SECONDS = 3600.0
 _instance_ids = itertools.count()
 
 
+def _bind_fleet_metrics(reg: obs.MetricsRegistry, service: str):
+    """One service's ``repro_fleet_*`` children: window time, windows, requests."""
+    return (
+        reg.histogram(
+            "repro_fleet_window_seconds",
+            "Wall-clock duration of one instance observation window",
+            ("service",),
+        ).labels(service),
+        reg.counter(
+            "repro_fleet_windows_total",
+            "Observation windows served, by service",
+            ("service",),
+        ).labels(service),
+        reg.counter(
+            "repro_fleet_requests_total",
+            "Requests served inside observation windows, by service",
+            ("service",),
+        ).labels(service),
+    )
+
+
+_FLEET_METRICS = obs.MetricHandles(_bind_fleet_metrics)
+
+
 @dataclass
 class InstanceMetrics:
     """One sample of an instance's health (a monitoring datapoint).
@@ -101,7 +125,8 @@ class ServiceInstance:
 
         Instrumented at window granularity (one observation per call,
         labeled by service — never by instance, which would be
-        unbounded cardinality under churn).
+        unbounded cardinality under churn), into children bound once
+        per registry and service (``_FLEET_METRICS``).
         """
         reg = obs.default_registry()
         started = _monotonic() if reg.enabled else 0.0
@@ -123,21 +148,12 @@ class ServiceInstance:
         )
         self.metrics.append(sample)
         if reg.enabled:
-            reg.histogram(
-                "repro_fleet_window_seconds",
-                "Wall-clock duration of one instance observation window",
-                ("service",),
-            ).labels(self.service).observe(_monotonic() - started)
-            reg.counter(
-                "repro_fleet_windows_total",
-                "Observation windows served, by service",
-                ("service",),
-            ).labels(self.service).inc()
-            reg.counter(
-                "repro_fleet_requests_total",
-                "Requests served inside observation windows, by service",
-                ("service",),
-            ).labels(self.service).inc(request_count)
+            window_seconds, windows, requests = _FLEET_METRICS.get(
+                reg, self.service
+            )
+            window_seconds.observe(_monotonic() - started)
+            windows.inc()
+            requests.inc(request_count)
         return sample
 
     # -- observability (what the paper's infra sees) -------------------------

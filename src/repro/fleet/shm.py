@@ -170,22 +170,37 @@ class StatPlane:
     ) -> None:
         """Pack one live instance's counters straight into its row.
 
-        The worker hot path: equivalent to
+        The worker hot path: byte-identical to
         ``write(slot, instance_stats(instance), shard, window)`` without
-        building the intermediate :class:`InstanceStats` (and its census
-        tuple) for every instance every window.
+        building the intermediate :class:`InstanceStats`.  The census
+        comes straight from ``runtime.census_counts`` (already in
+        ``_STATES`` order, zeros included), and the window's own sample
+        supplies ``cpu_percent`` when it was taken at this clock and
+        blocked count — the inputs of ``cpu_utilization()`` — so it is
+        computed once per window.
         """
         runtime = instance.runtime
         metrics = instance.metrics
-        census = runtime.state_census()
+        now = runtime.now
+        blocked = runtime.blocked_goroutines_count
+        if metrics:
+            last = metrics[-1]
+            requests_window = last.requests_served
+            if last.t == now and last.blocked_goroutines == blocked:
+                cpu_percent = last.cpu_percent
+            else:
+                cpu_percent = instance.cpu_utilization()
+        else:
+            requests_window = 0
+            cpu_percent = instance.cpu_utilization()
         _ROW.pack_into(
             self._shm.buf, slot * ROW_BYTES,
             shard, window,
-            runtime.now, instance.cpu_utilization(), instance.rss(),
-            runtime.blocked_goroutines_count, runtime.num_goroutines,
-            metrics[-1].requests_served if metrics else 0,
+            now, cpu_percent, instance.rss(),
+            blocked, runtime.num_goroutines,
+            requests_window,
             instance.requests_served, runtime.steps, len(metrics),
-            *(census.get(state, 0) for state in _STATES),
+            *runtime.census_counts,
         )
 
     def read(self, slot: int) -> InstanceStats:

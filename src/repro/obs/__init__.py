@@ -17,7 +17,15 @@ fleet windows) records into :func:`default_registry` and traces into
 :func:`default_tracer`, so one ``obs.snapshot()`` / ``obs.render()``
 shows the whole pipeline.  ``configure(enabled=False)`` turns all of it
 off — the uninstrumented baseline ``benchmarks/bench_obs_overhead.py``
-measures against (the gate: ≤5% steps/sec overhead with metrics on).
+measures against (the gate: ≤5% ping-pong steps/sec with metrics on).
+
+Per-request paths (the scheduler's ``repro_sched_*`` series, the fleet's
+``repro_fleet_*`` windows) bind their metric children once through a
+:class:`MetricHandles` cache instead of a get-or-create lookup per call.
+The cache re-binds when the default registry is swapped
+(:func:`set_default_registry`) or cleared (:func:`reset`:
+:meth:`MetricsRegistry.clear` bumps the registry's ``generation``), so
+recorded values never change — only the per-call lookup cost goes away.
 
 Ingest daemons additionally keep a *private* registry each (so two
 servers in one process never mix counters); their ``/metrics`` endpoint
@@ -40,6 +48,7 @@ from .registry import (
     Counter,
     Gauge,
     Histogram,
+    MetricHandles,
     MetricsRegistry,
     monotonic,
     render_prometheus,
@@ -180,6 +189,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "MetricHandles",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
     "ParsedFamily",

@@ -28,6 +28,7 @@ from __future__ import annotations
 import re
 import threading
 import time
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Monotonic clock used by every timing helper (never the virtual clock).
@@ -154,14 +155,15 @@ class _HistogramChild:
     def observe(self, value: float) -> None:
         if not self._registry.enabled:
             return
+        # First bound >= value; NaN compares false everywhere, so it
+        # belongs in +Inf (bisect alone would file it in bucket 0).
+        if value == value:
+            index = bisect_left(self._buckets, value)
+        else:
+            index = len(self._buckets)
         with self._lock:
             self._sum += value
             self._count += 1
-            index = len(self._buckets)
-            for i, bound in enumerate(self._buckets):
-                if value <= bound:
-                    index = i
-                    break
             self._counts[index] += 1
 
     def time(self) -> _Timer:
@@ -348,6 +350,9 @@ class MetricsRegistry:
         self.enabled = enabled
         self._metrics: Dict[str, _Metric] = {}
         self._lock = threading.Lock()
+        #: Bumped by :meth:`clear`.  Hot paths that bind metric children
+        #: once (the scheduler, fleet windows) re-bind when it moves.
+        self.generation = 0
 
     # -- get-or-create factories (idempotent, validated on conflict) --------
 
@@ -402,9 +407,14 @@ class MetricsRegistry:
         return [self._metrics[name] for name in sorted(self._metrics)]
 
     def clear(self) -> None:
-        """Drop every metric (tests; a fresh start, not a zeroing)."""
+        """Drop every metric (tests; a fresh start, not a zeroing).
+
+        Bumps :attr:`generation`, so children bound before the clear are
+        never recorded into again.
+        """
         with self._lock:
             self._metrics.clear()
+            self.generation += 1
 
     def snapshot(self) -> Dict[str, Dict]:
         """Plain-data view of every metric — the fleet/observer API.
@@ -478,6 +488,41 @@ def render_prometheus(*registries: MetricsRegistry) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
+class MetricHandles:
+    """Metric children bound once per registry, for per-request hot paths.
+
+    Get-or-create lookups (``registry.counter(...).labels(...)``) cost
+    more than the recording they precede when a request is a handful of
+    interpreter steps.  ``make(registry, key)`` registers a hot path's
+    metrics and returns their children; :meth:`get` hands back that
+    result for ``key`` until the registry is swapped or cleared (its
+    :attr:`MetricsRegistry.generation` moves), and only then binds
+    again — so recorded values are exactly what per-call lookups would
+    have produced.
+    """
+
+    __slots__ = ("_make", "_registry", "_generation", "_bound")
+
+    def __init__(self, make):
+        self._make = make
+        self._registry: Optional[MetricsRegistry] = None
+        self._generation = -1
+        self._bound: Dict[object, object] = {}
+
+    def get(self, registry: MetricsRegistry, key: object = None):
+        if (
+            registry is not self._registry
+            or registry.generation != self._generation
+        ):
+            self._registry = registry
+            self._generation = registry.generation
+            self._bound = {}
+        bound = self._bound.get(key)
+        if bound is None:
+            bound = self._bound[key] = self._make(registry, key)
+        return bound
+
+
 def timed(histogram_child) -> _Timer:
     """Free-function alias: ``with timed(hist):`` times the block."""
     return _Timer(histogram_child)
@@ -487,6 +532,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "MetricHandles",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
     "render_prometheus",

@@ -88,6 +88,31 @@ _BLOCKED_IDXS = tuple(sorted(s.census_index for s in BLOCKED_STATES))
 _EXTERNALLY_WAKEABLE = EXTERNALLY_WAKEABLE_STATES
 
 
+def _bind_sched_metrics(reg: "obs.MetricsRegistry", _key: object) -> Tuple:
+    """The ``repro_sched_*`` children: queue depth, run time, runs, steps."""
+    return (
+        reg.gauge(
+            "repro_sched_run_queue_depth",
+            "Runnable goroutines queued when the last run started",
+        ).labels(),
+        reg.histogram(
+            "repro_sched_run_seconds",
+            "Wall-clock duration of one run_until_quiescent call",
+        ).labels(),
+        reg.counter(
+            "repro_sched_runs_total",
+            "run_until_quiescent calls (requests, windows, drains)",
+        ).labels(),
+        reg.counter(
+            "repro_sched_steps_total",
+            "Scheduler steps interpreted across all runtimes",
+        ).labels(),
+    )
+
+
+_SCHED_METRICS = obs.MetricHandles(_bind_sched_metrics)
+
+
 #: Timer-heap compaction: rebuild once the heap holds at least this many
 #: entries AND more than half of them are cancelled tombstones.
 _TIMER_COMPACT_MIN = 32
@@ -336,12 +361,18 @@ class Runtime:
                 f"goroutine body {fn!r} must be a generator function "
                 "(use 'yield' for channel ops; plain functions cannot block)"
             )
+        if not name:
+            # str() only when needed: a functools.partial has no
+            # __qualname__, and its repr is the costly fallback.
+            name = getattr(fn, "__qualname__", None)
+            if name is None:
+                name = str(fn)
         gid = next(self._gid_seq)
         goro = Goroutine(
             gid=gid,
             gen=gen,
             runtime=self,
-            name=name or getattr(fn, "__qualname__", str(fn)),
+            name=name,
             created_at=self.now,
             creation_ctx=creation_ctx,
             stack_bytes=stack_bytes or self.default_stack_bytes,
@@ -360,6 +391,13 @@ class Runtime:
             self.main = goro
         self._enqueue(goro)
         return goro
+
+    def _restore_goroutine(self, goro: Goroutine) -> None:
+        """Register a live goroutine rebuilt from a checkpoint (its
+        byte accounting is restored wholesale by the caller)."""
+        self._goroutines[goro.gid] = goro
+        self._live_count += 1
+        self._state_census[goro.state.census_index] += 1
 
     def _enqueue(self, goro: Goroutine) -> None:
         self._run_queue.append(goro)
@@ -583,16 +621,19 @@ class Runtime:
         Instrumentation rides at *run* granularity, never per step: one
         timing observation and one counter delta per call keeps the
         interpreter hot loop untouched (the bench_obs_overhead gate).
+        The metric children are bound once per registry
+        (``_SCHED_METRICS``), not looked up per call: a fleet request is
+        a run of a few steps, where get-or-create lookups would dominate.
         """
-        self._steps_base = self.steps
+        steps_base = self.steps
         reg = obs.default_registry()
         recording = reg.enabled
         if recording:
+            queue_depth, run_seconds, runs_total, steps_total = (
+                _SCHED_METRICS.get(reg)
+            )
             started = _monotonic()
-            reg.gauge(
-                "repro_sched_run_queue_depth",
-                "Runnable goroutines queued when the last run started",
-            ).set(len(self._run_queue))
+            queue_depth.set(len(self._run_queue))
         try:
             limit = self.steps + max_steps
             step = self._step
@@ -606,18 +647,9 @@ class Runtime:
                     break
         finally:
             if recording:
-                reg.counter(
-                    "repro_sched_runs_total",
-                    "run_until_quiescent calls (requests, windows, drains)",
-                ).inc()
-                reg.counter(
-                    "repro_sched_steps_total",
-                    "Scheduler steps interpreted across all runtimes",
-                ).inc(self.steps - self._steps_base)
-                reg.histogram(
-                    "repro_sched_run_seconds",
-                    "Wall-clock duration of one run_until_quiescent call",
-                ).observe(_monotonic() - started)
+                runs_total.inc()
+                steps_total.inc(self.steps - steps_base)
+                run_seconds.observe(_monotonic() - started)
         if (
             detect_global_deadlock
             and self.main is not None
@@ -631,8 +663,6 @@ class Runtime:
                 raise GlobalDeadlock(len(live))
         if deadline is not None and self.now < deadline:
             self.now = deadline
-
-    _steps_base = 0
 
     def _has_pending_timers(self, deadline: Optional[float]) -> bool:
         """Is there scheduled work (excluding the GC sweep timer)?
@@ -754,6 +784,14 @@ class Runtime:
         for index in _BLOCKED_IDXS:
             total += census[index]
         return total
+
+    @property
+    def census_counts(self) -> List[int]:
+        """Live goroutines per state in ``GoroutineState`` order, zeros
+        included (DONE and PANICKED goroutines are not live, so those
+        slots stay 0) — the census array itself, for per-window readers
+        that cannot afford :meth:`state_census`'s dict.  Read-only."""
+        return self._state_census
 
     def state_census(self, audit: bool = False) -> Dict[GoroutineState, int]:
         """Live goroutines per scheduling state (nonzero entries only).

@@ -3,10 +3,15 @@ tracing, and the instrumentation wired through the pipeline + daemon.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro import obs
+from repro.fleet import RequestMix, Service, ServiceConfig, TrafficShape
 from repro.ingest import IngestClient, IngestError, IngestServer, IngestStore
 from repro.leakprof import LeakProf
 from repro.obs import MetricsRegistry, Tracer
@@ -103,6 +108,32 @@ class TestRegistry:
         reg.enabled = True
         c.inc()
         assert c.value == 2
+
+    def test_histogram_bucket_placement(self):
+        bounds = (0.1, 1.0, 5.0)
+
+        def placed(value):
+            """The ``le`` of the one bucket a single observation lands in."""
+            h = MetricsRegistry().histogram("repro_bp_seconds", buckets=bounds)
+            h.observe(value)
+            below = 0
+            for le, cumulative in h.labels().bucket_values():
+                if cumulative > below:
+                    return le
+                below = cumulative
+            raise AssertionError(f"{value!r} landed in no bucket")
+
+        inf = float("inf")
+        assert placed(1.0) == 1.0  # equal to a bound: that bucket
+        assert placed(0.1) == 0.1
+        assert placed(5.0) == 5.0
+        assert placed(0.5) == 1.0
+        assert placed(0.0) == 0.1  # below the first bound
+        assert placed(-3.0) == 0.1
+        assert placed(-inf) == 0.1
+        assert placed(5.0001) == inf  # above the last bound
+        assert placed(inf) == inf
+        assert placed(float("nan")) == inf  # NaN compares false: +Inf
 
     def test_snapshot_is_plain_json_able_data(self):
         reg = MetricsRegistry()
@@ -257,6 +288,52 @@ class TestTracer:
 # ---------------------------------------------------------------------------
 
 
+def _serve_fleet(seed: int, windows: int = 3) -> None:
+    """Deterministic fleet work on the default registry."""
+    service = Service(
+        ServiceConfig(
+            name="payments",
+            mix=RequestMix().add("checkout", timeout_leak.leaky),
+            instances=2,
+            traffic=TrafficShape(requests_per_window=4),
+        ),
+        seed=seed,
+    )
+    for _ in range(windows):
+        service.advance_window(3600.0)
+
+
+def _recorded_counts(registry: MetricsRegistry) -> dict:
+    """Counter values and histogram counts: everything but wall time."""
+    out = {}
+    for name, family in registry.snapshot().items():
+        if family["type"] == "gauge":
+            continue
+        for key, value in family["samples"].items():
+            if isinstance(value, dict):
+                value = value["count"]
+            out[f"{name}{{{key}}}"] = value
+    return out
+
+
+def _fresh_process_counts(seed: int) -> dict:
+    """``_recorded_counts`` after ``_serve_fleet(seed)`` in a new process."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    here = os.path.dirname(os.path.abspath(__file__))
+    script = (
+        "import json, test_obs\n"
+        "from repro import obs\n"
+        f"test_obs._serve_fleet({seed})\n"
+        "print(json.dumps(test_obs._recorded_counts(obs.default_registry())))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, here])),
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class _Endpoint:
     """A bare Profilable: just a pprof endpoint."""
 
@@ -275,6 +352,26 @@ class TestPipelineInstrumentation:
         assert snap["repro_sched_runs_total"]["samples"][""] >= 1
         assert snap["repro_sched_steps_total"]["samples"][""] > 0
         assert snap["repro_sched_run_seconds"]["samples"][""]["count"] >= 1
+
+    @pytest.mark.parametrize("change", ["reset", "swap"])
+    def test_bound_handles_follow_registry_changes(self, change):
+        # The scheduler and fleet bind their children once per registry;
+        # clearing or swapping the registry must re-bind them.
+        _serve_fleet(seed=1)
+        before = obs.default_registry()
+        if change == "reset":
+            obs.reset()
+            after = before
+        else:
+            after = MetricsRegistry()
+            obs.set_default_registry(after)
+        frozen = _recorded_counts(before)
+        _serve_fleet(seed=2)
+        counts = _recorded_counts(after)
+        assert counts["repro_fleet_windows_total{service=payments}"] == 6
+        assert counts == _fresh_process_counts(seed=2)
+        if change == "swap":
+            assert _recorded_counts(before) == frozen
 
     def test_disabled_obs_records_nothing(self):
         obs.configure(enabled=False, trace_enabled=False)

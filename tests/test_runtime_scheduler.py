@@ -189,6 +189,24 @@ class TestDeadlockDetection:
 
 
 class TestSchedulerMechanics:
+    def test_spawn_names_goroutines_by_qualname_else_str(self):
+        from repro.fleet import RequestMix
+        from repro.patterns import timeout_leak
+
+        rt = Runtime(seed=1)
+        # A parametrized fleet handler is a functools.partial: no
+        # __qualname__, so its goroutine is named by str(partial).
+        handler = RequestMix().add(
+            "checkout", timeout_leak.leaky, payload_bytes=1024
+        ).handlers[0].bound()
+        assert not hasattr(handler, "__qualname__")
+        assert rt.spawn(handler, rt).name == str(handler)
+        assert rt.spawn(timeout_leak.leaky, rt).name == "leaky"
+        assert rt.spawn(handler, rt, name="checkout").name == "checkout"
+        main = rt.spawn(handler, rt, is_main=True)
+        rt.run_until_quiescent(deadline=rt.now + 30.0)
+        assert main.name == str(handler)
+
     def test_spawn_requires_generator(self):
         rt = Runtime()
 

@@ -21,14 +21,28 @@ from repro.fleet import (
     Service,
     ServiceConfig,
     ShardedFleet,
+    StatPlane,
     TrafficShape,
+    build_instance,
     checkpoint_instance,
     restore_instance,
 )
+from repro.fleet.shm import F_CENSUS, ROW_BYTES
 from repro.leakprof import LeakProf, scan_fleet
 from repro.patterns import healthy, timeout_leak
-from repro.runtime import go, sleep
-from repro.snapshot import snapshot_instance
+from repro.runtime import (
+    BLOCKED_STATES,
+    GoroutineState,
+    Panic,
+    case_recv,
+    go,
+    park,
+    recv,
+    select,
+    send,
+    sleep,
+)
+from repro.snapshot import instance_stats, snapshot_instance
 
 WINDOW = 3600.0
 
@@ -205,6 +219,118 @@ class TestViewParity:
                 fleet.suspects()
             with pytest.raises(RuntimeError, match="streaming"):
                 fleet.resync()
+
+
+def parks_everywhere(rt):
+    """Leak one goroutine into every parked state that outlives a checkpoint."""
+
+    def stuck_send(ch):
+        yield send(ch, 1)
+
+    def stuck_recv(ch):
+        yield recv(ch)
+
+    def stuck_select(a, b):
+        yield select(case_recv(a), case_recv(b))
+
+    def stuck_park(reason):
+        yield park(reason)
+
+    yield go(stuck_send, rt.make_chan(0))
+    yield go(stuck_recv, rt.make_chan(0))
+    yield go(stuck_select, rt.make_chan(0), rt.make_chan(0))
+    for reason in ("io_wait", "syscall", "semacquire", "cond_wait"):
+        yield go(stuck_park, reason)
+
+
+def naps_and_panics(rt):
+    """A sleeper that outlives the window, and a child that panics."""
+
+    def nap():
+        yield sleep(2 * WINDOW)
+
+    def bomb():
+        yield sleep(1.0)
+        raise Panic("child panic")
+
+    yield go(nap)
+    yield go(bomb)
+
+
+class TestStatRowParity:
+    """``StatPlane.write_instance`` (census array, reused window cpu%)
+    writes exactly the bytes of ``write(slot, instance_stats(inst))``."""
+
+    @pytest.fixture
+    def plane(self):
+        plane = StatPlane.create(2)
+        if plane is None:
+            pytest.skip("POSIX shared memory unavailable")
+        yield plane
+        plane.close()
+
+    def _config(self, mix):
+        return ServiceConfig(
+            name="svc", mix=mix, instances=1,
+            traffic=TrafficShape(requests_per_window=3),
+        )
+
+    def _assert_parity(self, plane, inst, seen, window):
+        plane.write_instance(0, inst, shard=1, window=window)
+        plane.write(1, instance_stats(inst), shard=1, window=window)
+        raw = plane.read_bytes(2)
+        assert raw[:ROW_BYTES] == raw[ROW_BYTES:]
+        census = plane.read_row(0)[F_CENSUS:]
+        seen.update(
+            state for state, count in zip(GoroutineState, census) if count
+        )
+
+    def test_write_instance_matches_write_of_instance_stats(self, plane):
+        seen = set()
+        window = 0
+        parked = RequestMix().add("parks", parks_everywhere)
+        rich = (
+            RequestMix()
+            .add("naps", naps_and_panics)
+            .add("checkout", timeout_leak.leaky)
+        )
+        for mix in (parked, rich):
+            config = self._config(mix)
+            # init: no window sampled yet
+            inst = build_instance(config, 3, 0, 0, mix, 0.0)
+            self._assert_parity(plane, inst, seen, window)
+            for _ in range(3):  # advanced windows
+                window += 1
+                inst.advance_window(WINDOW)
+                self._assert_parity(plane, inst, seen, window)
+            # same clock, more parked goroutines than the window sampled
+            inst.runtime.spawn(parks_everywhere, inst.runtime)
+            inst.runtime.run_until_quiescent(deadline=inst.runtime.now)
+            self._assert_parity(plane, inst, seen, window)
+            # a spawned goroutine not yet run: RUNNABLE in the census
+            inst.runtime.spawn(parks_everywhere, inst.runtime)
+            self._assert_parity(plane, inst, seen, window)
+            inst.runtime.run_until_quiescent(deadline=inst.runtime.now)
+            # the clock moved past the window's sample
+            inst.runtime.advance(60.0)
+            self._assert_parity(plane, inst, seen, window)
+            # restart: a fresh build at the current clock
+            inst = build_instance(config, 3, 1, 0, mix, inst.runtime.now)
+            self._assert_parity(plane, inst, seen, window)
+            window += 1
+            inst.advance_window(WINDOW)
+            self._assert_parity(plane, inst, seen, window)
+        # checkpoint restore / adopt: both rebuild through restore_instance
+        inst = build_instance(self._config(parked), 5, 0, 0, parked, 0.0)
+        for _ in range(2):
+            inst.advance_window(WINDOW)
+        restored = restore_instance(checkpoint_instance(inst))
+        self._assert_parity(plane, restored, seen, window)
+        for _ in range(2):
+            window += 1
+            restored.advance_window(WINDOW)
+            self._assert_parity(plane, restored, seen, window)
+        assert seen >= BLOCKED_STATES | {GoroutineState.RUNNABLE}
 
 
 class TestOnlineScorer:
