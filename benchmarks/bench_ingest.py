@@ -7,7 +7,9 @@ bottleneck ahead of LeakProf analysis.  Two headline numbers:
 
 * **goroutines/sec** through :func:`repro.profiling.parse_go_debug2`
   on a realistic many-stanza dump (runtime sub-stacks, created-by
-  trailers, minute ages — everything the real format carries);
+  trailers, minute ages — everything the real format carries), and
+  again on a dump where every frame line is distinct — the worst case
+  for the parser's per-parse frame table, which then shares nothing;
 * **uploads/sec** through a live :class:`repro.ingest.IngestServer`
   over loopback HTTP, sqlite archival included.
 
@@ -38,6 +40,20 @@ created by svc.worker in goroutine 1
 \t/srv/svc/worker.go:12 +0x9a
 """
 
+#: The same shape with every frame line distinct: each goroutine gets
+#: its own functions, files and lines.
+_DISTINCT_STANZA = """\
+goroutine {gid} [chan send, {minutes} minutes]:
+runtime.gopark{gid}(0xc000076058?, 0xc00003e770?)
+\t/usr/local/go/src/runtime/proc{gid}.go:{gid} +0xd6
+runtime.chansend{gid}(0xc000076000, 0xc00003e7e8, 0x1, 0x1)
+\t/usr/local/go/src/runtime/chan{gid}.go:{gid} +0x42c
+svc.worker.func{gid}()
+\t/srv/svc/worker{gid}.go:{gid} +0x3c
+created by svc.worker{gid} in goroutine 1
+\t/srv/svc/start{gid}.go:{gid} +0x9a
+"""
+
 PARSE_GOROUTINES = int(os.environ.get("INGEST_PARSE_GOROUTINES", "4000"))
 UPLOADS = int(os.environ.get("INGEST_UPLOADS", "150"))
 MIN_PARSE_RATE = float(os.environ.get("INGEST_MIN_PARSE_RATE", "2000"))
@@ -58,8 +74,14 @@ def build_dump(goroutines: int) -> str:
     return "\n".join(chunks)
 
 
-def measure_parse_rate() -> float:
-    text = build_dump(PARSE_GOROUTINES)
+def build_distinct_dump(goroutines: int) -> str:
+    chunks = ["goroutine 1 [running]:\nmain.main()\n\t/srv/svc/main.go:10 +0x1\n"]
+    for gid in range(2, goroutines + 1):
+        chunks.append(_DISTINCT_STANZA.format(gid=gid, minutes=gid % 240))
+    return "\n".join(chunks)
+
+
+def measure_parse_rate(text: str) -> float:
     parse_go_debug2(text)  # warm caches/regexes outside the timed run
     start = time.perf_counter()
     profile = parse_go_debug2(text)
@@ -84,7 +106,8 @@ def measure_upload_rate() -> float:
 
 
 def test_ingest_throughput():
-    parse_rate = measure_parse_rate()
+    parse_rate = measure_parse_rate(build_dump(PARSE_GOROUTINES))
+    distinct_rate = measure_parse_rate(build_distinct_dump(PARSE_GOROUTINES))
     upload_rate = measure_upload_rate()
 
     print_table(
@@ -95,6 +118,11 @@ def test_ingest_throughput():
                 "parse_go_debug2",
                 f"{PARSE_GOROUTINES} goroutines",
                 f"{parse_rate:,.0f} goroutines/s",
+            ),
+            (
+                "parse_go_debug2, every frame distinct",
+                f"{PARSE_GOROUTINES} goroutines",
+                f"{distinct_rate:,.0f} goroutines/s",
             ),
             (
                 "HTTP upload+archive",
@@ -108,9 +136,11 @@ def test_ingest_throughput():
         metric="parse_goroutines_per_sec",
         value=round(parse_rate),
         unit="goroutines/s",
+        distinct_frames_parse_goroutines_per_sec=round(distinct_rate),
         uploads_per_sec=round(upload_rate, 1),
         parse_goroutines=PARSE_GOROUTINES,
         uploads=UPLOADS,
     )
     assert parse_rate >= MIN_PARSE_RATE
+    assert distinct_rate >= MIN_PARSE_RATE
     assert upload_rate >= MIN_UPLOAD_RATE

@@ -33,19 +33,30 @@ blocking location the detector groups on.
 
 :func:`sniff_dialect` / :func:`parse_profile` are the content-negotiation
 entry points the ingestion daemon uses: one upload endpoint accepts both
-dialects and both land in the same in-memory model.
+dialects and both land in the same in-memory model.  ``parse_profile``
+splits a body into lines once and hands them to both.
+
+Each parse keeps a *frame table*: a dict from ``(function, location
+line)`` to the :class:`~repro.runtime.stack.Frame` built for it, with
+the function's printed argument list stripped first, so distinct pointer
+arguments do not split a key.  A leak is many goroutines parked at the
+same frames, so each distinct frame's location regex and ``Frame`` are
+built once and the records share the frozen ``Frame`` objects: equal
+frames within one parsed profile are one object.  The wait-reason
+brackets are memoized the same way.  Both tables are local to the parse
+and dropped when it returns; nothing is cached across parses.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.runtime.goroutine import GoroutineState
 from repro.runtime.stack import Frame
 
 from .pprof import dump_text as _dump_simulator
-from .pprof import parse_text as _parse_simulator
+from .pprof import parse_lines as _parse_simulator_lines
 from .profile import GoroutineProfile, GoroutineRecord
 
 #: Wait reasons Go's runtime prints, mapped to the simulator's states.
@@ -165,62 +176,100 @@ def parse_go_debug2(
     caller (upload metadata): unlike the simulator dialect, a real Go
     profile file carries no header identifying its origin.
     """
+    return _parse_go_lines(
+        text.splitlines(), process, taken_at, service, instance
+    )
+
+
+def _parse_go_lines(
+    lines: List[str],
+    process: str,
+    taken_at: float,
+    service: Optional[str],
+    instance: Optional[str],
+) -> GoroutineProfile:
     profile = GoroutineProfile(
         taken_at=taken_at,
         process=process,
         service=service,
         instance=instance,
     )
-    lines = text.splitlines()
+    records = profile.records
+    # This parse's frame table and wait-reason memo (module docstring).
+    frame_table: Dict[object, Frame] = {}
+    reasons: Dict[str, Tuple[str, float, Optional[str]]] = {}
+    end = len(lines)
     i = 0
-    saw_stanza = False
-    while i < len(lines):
+    while i < end:
         line = lines[i]
-        if not line.strip():
+        # Blank means ``not line.strip()``, tested without copying the line.
+        if not line or line.isspace():
             i += 1
             continue
         stanza = _GO_STANZA_RE.match(line)
         if stanza is None:
             raise GoPprofParseError(f"bad goroutine stanza: {line!r}")
-        saw_stanza = True
-        body: List[str] = []
         i += 1
-        while i < len(lines) and lines[i].strip():
-            body.append(lines[i])
+        start = i
+        while i < end and lines[i] and not lines[i].isspace():
             i += 1
-        record = _parse_stanza_body(stanza, body)
-        profile.records.append(record)
-    if not saw_stanza:
+        records.append(
+            _parse_stanza_body(stanza, lines[start:i], frame_table, reasons)
+        )
+    if not records:
         raise GoPprofParseError("empty goroutine profile")
     return profile
 
 
-def _parse_stanza_body(stanza, body: List[str]) -> GoroutineRecord:
+def _parse_stanza_body(
+    stanza,
+    body: List[str],
+    frame_table: Dict[object, Frame],
+    reasons: Dict[str, Tuple[str, float, Optional[str]]],
+) -> GoroutineRecord:
     gid = int(stanza.group("gid"))
-    reason, wait_seconds, detail = _split_reason(stanza.group("reason"))
+    bracket = stanza.group("reason")
+    split = reasons.get(bracket)
+    if split is None:
+        split = reasons[bracket] = _split_reason(bracket)
+    reason, wait_seconds, detail = split
     state = GO_STATE_MAP.get(reason, FALLBACK_STATE)
     frames: List[Frame] = []
     creation: Optional[Frame] = None
+    end = len(body)
     j = 0
-    while j < len(body):
+    while j < end:
         line = body[j]
-        if _GO_ELIDED_RE.match(line):
+        # Both regexes are anchored on a prefix (``...`` / ``created by``):
+        # testing its first character skips them on ordinary frame lines
+        # without changing a verdict.  Stanza lines are never empty.
+        head = line[0]
+        if head == "." and _GO_ELIDED_RE.match(line):
             j += 1
             continue
-        created = _GO_CREATED_RE.match(line)
-        if created is not None:
-            if j + 1 >= len(body):
+        created = _GO_CREATED_RE.match(line) if head == "c" else None
+        if j + 1 >= end:
+            if created is not None:
                 raise GoPprofParseError(
                     f"goroutine {gid}: created-by line without a location"
                 )
-            creation = _frame_at(created.group("fn"), body[j + 1], gid)
-            j += 2
-            continue
-        if j + 1 >= len(body):
             raise GoPprofParseError(
                 f"goroutine {gid}: frame {line!r} without a location line"
             )
-        frames.append(_frame_at(_function_of(line), body[j + 1], gid))
+        # The key holds the function with its argument list stripped, so
+        # goroutines parked at one site share one frame even when their
+        # pointer arguments differ.
+        key = (
+            _function_of(line) if created is None else created.group("fn"),
+            body[j + 1],
+        )
+        frame = frame_table.get(key)
+        if frame is None:
+            frame = _new_frame(key, gid, frame_table)
+        if created is None:
+            frames.append(frame)
+        else:
+            creation = frame
         j += 2
     # Leading runtime/stdlib frames become the implicit runtime sub-stack;
     # what survives is the user stack, leaf (blocking site) first.
@@ -241,13 +290,27 @@ def _parse_stanza_body(stanza, body: List[str]) -> GoroutineRecord:
     )
 
 
-def _frame_at(function: str, location_line: str, gid: int) -> Frame:
+def _new_frame(
+    key: Tuple[str, str], gid: int, frame_table: Dict[object, Frame]
+) -> Frame:
+    """Parse the location line of a ``(function, location line)`` key the
+    frame table does not hold yet, and enter the frame under it.
+
+    Only well-formed locations are entered, so a bad line raises on every
+    goroutine that carries it.
+    """
+    function, location_line = key
     location = _GO_LOCATION_RE.match(location_line)
     if location is None:
         raise GoPprofParseError(
             f"goroutine {gid}: bad location line {location_line!r}"
         )
-    return Frame(function, location.group("file"), int(location.group("line")))
+    file, line = location.group("file", "line")
+    # Lines that differ only in their ``+0x`` offset name one frame: a
+    # second key, by parsed fields, keeps it one object.
+    fields = (function, file, int(line))
+    frame = frame_table[key] = frame_table.setdefault(fields, Frame(*fields))
+    return frame
 
 
 # -- writer (fixture generation and round-trip testing) ----------------------
@@ -308,7 +371,11 @@ DIALECT_GO = "go"
 
 def sniff_dialect(text: str) -> str:
     """Which profile dialect is this text?  Raises ValueError if neither."""
-    for line in text.splitlines():
+    return _sniff_lines(text.splitlines())
+
+
+def _sniff_lines(lines: List[str]) -> str:
+    for line in lines:
         if not line.strip():
             continue
         if line.startswith("goroutine profile: total "):
@@ -335,10 +402,11 @@ def parse_profile(
     header-less Go dialect (and overrides service/instance when given,
     so a tenant cannot spoof another's labels from a profile body).
     """
+    lines = text.splitlines()
     if dialect == "auto":
-        dialect = sniff_dialect(text)
+        dialect = _sniff_lines(lines)
     if dialect == DIALECT_SIMULATOR:
-        profile = _parse_simulator(text)
+        profile = _parse_simulator_lines(lines)
         if service is not None:
             profile.service = service
         if instance is not None:
@@ -346,13 +414,7 @@ def parse_profile(
         return profile, DIALECT_SIMULATOR
     if dialect == DIALECT_GO:
         return (
-            parse_go_debug2(
-                text,
-                process=process,
-                taken_at=taken_at,
-                service=service,
-                instance=instance,
-            ),
+            _parse_go_lines(lines, process, taken_at, service, instance),
             DIALECT_GO,
         )
     raise ValueError(f"unknown profile dialect {dialect!r}")

@@ -17,12 +17,20 @@ Format (one stanza per goroutine)::
         transactions/cost.go:6
 
 with a header line ``goroutine profile: total N  process=P time=T``.
+
+Like the Go parser (:mod:`.gopprof`), :func:`parse_text` keeps a frame
+table for the length of one parse: each distinct ``(function, location
+line)`` pair becomes one frozen ``Frame``, shared by every record that
+holds it, and the table is dropped when the parse returns (there is no
+cross-parse cache).  A stanza with a frame line lacking its location
+line, or with an unknown state, raises ``ValueError`` naming its
+goroutine.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.runtime.goroutine import GoroutineState
 from repro.runtime.stack import Frame
@@ -77,29 +85,62 @@ def dump_text(profile: GoroutineProfile) -> str:
 
 
 def _parse_frames(
+    gid: str,
     body: List[str],
+    frame_table: Dict[object, Frame],
 ) -> Tuple[Tuple[Frame, ...], Optional[Frame]]:
     frames: List[Frame] = []
     creation: Optional[Frame] = None
+    end = len(body)
     i = 0
-    while i < len(body):
+    while i < end:
         line = body[i]
-        if line.startswith("created by "):
+        created = line.startswith("created by ")
+        if i + 1 >= end:
+            if created:
+                raise ValueError(
+                    f"goroutine {gid}: created-by line without a location"
+                )
+            raise ValueError(
+                f"goroutine {gid}: frame {line!r} without a location line"
+            )
+        if created:
             function = line[len("created by "):]
-            file, _, lineno = body[i + 1].strip().rpartition(":")
-            creation = Frame(function, file, int(lineno))
-            i += 2
-            continue
-        function = line[:-2] if line.endswith("()") else line
-        file, _, lineno = body[i + 1].strip().rpartition(":")
-        frames.append(Frame(function, file, int(lineno)))
+        else:
+            function = line[:-2] if line.endswith("()") else line
+        key = (function, body[i + 1])
+        frame = frame_table.get(key)
+        if frame is None:
+            frame = _new_frame(key, frame_table)
+        if created:
+            creation = frame
+        else:
+            frames.append(frame)
         i += 2
     return tuple(frames), creation
 
 
+def _new_frame(
+    key: Tuple[str, str], frame_table: Dict[object, Frame]
+) -> Frame:
+    """Parse the location line of a ``(function, location line)`` key the
+    frame table does not hold yet, and enter the frame under it."""
+    function, location_line = key
+    file, _, lineno = location_line.strip().rpartition(":")
+    # Lines that differ only in whitespace name one frame: a second key,
+    # by parsed fields, keeps it one object.
+    fields = (function, file, int(lineno))
+    frame = frame_table[key] = frame_table.setdefault(fields, Frame(*fields))
+    return frame
+
+
 def parse_text(text: str) -> GoroutineProfile:
     """Parse text produced by :func:`dump_text` back into a profile."""
-    lines = text.splitlines()
+    return parse_lines(text.splitlines())
+
+
+def parse_lines(lines: List[str]) -> GoroutineProfile:
+    """:func:`parse_text` over a body already split into lines."""
     if not lines:
         raise ValueError("empty profile text")
     header = _HEADER_RE.match(lines[0])
@@ -111,27 +152,35 @@ def parse_text(text: str) -> GoroutineProfile:
         service=header.group("service"),
         instance=header.group("instance"),
     )
+    # This parse's frame table (module docstring).
+    frame_table: Dict[object, Frame] = {}
+    end = len(lines)
     i = 1
-    while i < len(lines):
+    while i < end:
         line = lines[i]
-        if not line.strip():
+        # Blank means ``not line.strip()``, tested without copying the line.
+        if not line or line.isspace():
             i += 1
             continue
         stanza = _STANZA_RE.match(line)
         if stanza is None:
             raise ValueError(f"bad goroutine stanza: {line!r}")
-        body: List[str] = []
         i += 1
-        while i < len(lines) and lines[i].strip():
-            body.append(lines[i])
+        start = i
+        while i < end and lines[i] and not lines[i].isspace():
             i += 1
-        frames, creation = _parse_frames(body)
-        state = _STATE_BY_VALUE[stanza.group("state")]
+        gid = stanza.group("gid")
+        frames, creation = _parse_frames(gid, lines[start:i], frame_table)
+        state = _STATE_BY_VALUE.get(stanza.group("state"))
+        if state is None:
+            raise ValueError(
+                f"goroutine {gid}: unknown state {stanza.group('state')!r}"
+            )
         # Strip the synthetic runtime frames that dump_text prepended.
         synthetic = len(runtime_frames_for(state))
         profile.records.append(
             GoroutineRecord(
-                gid=int(stanza.group("gid")),
+                gid=int(gid),
                 name=stanza.group("name") or "?",
                 state=state,
                 user_frames=frames[synthetic:],

@@ -53,10 +53,16 @@ _RUNTIME_FRAMES: Dict[GoroutineState, Tuple[str, ...]] = {
 _RUNTIME_LOCATION = ("runtime/proc.go", 0)
 
 
+#: The sub-stacks themselves, built once per state (frames are frozen).
+_RUNTIME_STACKS: Dict[GoroutineState, Tuple[Frame, ...]] = {
+    state: tuple(Frame(name, *_RUNTIME_LOCATION) for name in names)
+    for state, names in _RUNTIME_FRAMES.items()
+}
+
+
 def runtime_frames_for(state: GoroutineState) -> Tuple[Frame, ...]:
     """The synthetic runtime sub-stack shown for a goroutine in ``state``."""
-    names = _RUNTIME_FRAMES.get(state, ())
-    return tuple(Frame(name, *_RUNTIME_LOCATION) for name in names)
+    return _RUNTIME_STACKS.get(state, ())
 
 
 @dataclass(frozen=True)

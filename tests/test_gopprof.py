@@ -10,6 +10,7 @@ wait age, nil-channel detail, and creation context.
 """
 
 import pathlib
+import random
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.profiling import (
     GoPprofParseError,
     GoroutineProfile,
     dump_go_debug2,
+    dump_profile,
     dump_text,
     parse_go_debug2,
     parse_profile,
@@ -36,6 +38,14 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "gopprof"
 
 def fixture(name: str) -> str:
     return (FIXTURES / name).read_text()
+
+
+def simulator_text() -> str:
+    """A simulator-dialect dump of a runtime holding a timeout leak."""
+    rt = Runtime(seed=7, name="i-0")
+    for _ in range(4):
+        rt.run(timeout_leak.leaky, rt, detect_global_deadlock=False)
+    return dump_text(GoroutineProfile.take(rt, service="s", instance="i"))
 
 
 class TestGo119Fixture:
@@ -260,3 +270,162 @@ class TestMalformedInput:
         text = "goroutine 1 [running]:\nmain.main()\nno-tab-here\n"
         with pytest.raises(GoPprofParseError, match="bad location"):
             parse_go_debug2(text)
+
+
+_SIMULATOR_HEADER = "goroutine profile: total 1  process=p time=0.0\n"
+
+#: Simulator-dialect bodies that once escaped as IndexError / KeyError.
+SIMULATOR_MALFORMED = {
+    "frame without location": (
+        "goroutine 2 [chan send] name=x:\nruntime.gopark()\n",
+        "goroutine 2: frame 'runtime.gopark()' without a location line",
+    ),
+    "created-by without location": (
+        "goroutine 2 [chan send] name=x:\ncreated by leaky\n",
+        "goroutine 2: created-by line without a location",
+    ),
+    "unknown state": (
+        "goroutine 2 [IO wait] name=x:\nmain.f()\n\tmain.go:3\n",
+        "goroutine 2: unknown state 'IO wait'",
+    ),
+}
+
+
+class TestSimulatorMalformedInput:
+    @pytest.mark.parametrize("case", sorted(SIMULATOR_MALFORMED))
+    def test_rejected_with_value_error_naming_the_goroutine(self, case):
+        body, message = SIMULATOR_MALFORMED[case]
+        with pytest.raises(ValueError) as err:
+            parse_profile(_SIMULATOR_HEADER + body)
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
+
+
+# -- seeded line mutants (Addition / Deletion / Substitution) ----------------
+
+
+def _addition(lines, rng, donors):
+    lines.insert(rng.randrange(len(lines) + 1), rng.choice(donors))
+
+
+def _deletion(lines, rng, donors):
+    if lines:
+        del lines[rng.randrange(len(lines))]
+
+
+def _substitution(lines, rng, donors):
+    if lines:
+        lines[rng.randrange(len(lines))] = rng.choice(donors)
+
+
+MUTATIONS = (_addition, _deletion, _substitution)
+
+
+def mutants(text, donors, seed, count):
+    """``count`` seeded mutants of ``text``, one to three line edits each.
+
+    Donor lines come from every source, so Go lines land in simulator
+    bodies and the reverse, and blank lines split stanzas.
+    """
+    rng = random.Random(seed)
+    base = text.splitlines()
+    for _ in range(count):
+        lines = list(base)
+        for _ in range(rng.randint(1, 3)):
+            rng.choice(MUTATIONS)(lines, rng, donors)
+        yield "\n".join(lines) + "\n"
+
+
+GO_SOURCES = (
+    "go1.19_chan_send_leak.txt",
+    "go1.21_wait_states.txt",
+    "go1.22_select_timeout_leak.txt",
+    "malformed_truncated.txt",
+)
+MUTANTS_PER_SOURCE = 150
+
+
+def _assert_frames_shared(profile):
+    """Equal frames within one parsed profile are one object."""
+    seen = {}
+    for record in profile.records:
+        frames = record.user_frames + (
+            (record.creation_ctx,) if record.creation_ctx else ()
+        )
+        for frame in frames:
+            assert seen.setdefault(frame, frame) is frame
+
+
+def _parse_or_none(parse, error, text):
+    """``parse(text)``, or None if it raised ``error``; any other
+    exception type fails the test."""
+    try:
+        return parse(text)
+    except error:
+        return None
+
+
+class TestParserMutants:
+    """Any line-mutated body is parsed or rejected with a ValueError."""
+
+    def _sources(self):
+        sources = [(fixture(name), parse_go_debug2, GoPprofParseError)
+                   for name in GO_SOURCES]
+        sources.append((simulator_text(), parse_text, ValueError))
+        return sources
+
+    def test_parse_returns_or_raises_value_error(self):
+        sources = self._sources()
+        donors = sorted(
+            {line for text, _, _ in sources for line in text.splitlines()}
+        )
+        accepted = rejected = 0
+        for seed, (text, parse, error) in enumerate(sources):
+            for body in mutants(text, donors, seed, MUTANTS_PER_SOURCE):
+                profile = _parse_or_none(parse, error, body)
+                if profile is None:
+                    rejected += 1
+                else:
+                    accepted += 1
+                    _assert_frames_shared(profile)
+                self._check_negotiated(body)
+        assert accepted > 50 and rejected > 50
+
+    def _check_negotiated(self, body):
+        """``parse_profile`` agrees with ``sniff_dialect`` on every body,
+        and what it accepts round-trips through dump and parse."""
+        try:
+            sniffed = sniff_dialect(body)
+        except ValueError as err:
+            with pytest.raises(ValueError, match="unrecognized") as again:
+                parse_profile(body)
+            assert str(again.value) == str(err)
+            return
+        parsed = _parse_or_none(parse_profile, ValueError, body)
+        if parsed is None:
+            return
+        profile, dialect = parsed
+        assert dialect == sniffed
+        again, _ = parse_profile(
+            dump_profile(profile, dialect), dialect=dialect
+        )
+        assert again.records == profile.records
+        _assert_frames_shared(again)
+
+    def test_goroutines_parked_at_one_site_share_frame_objects(self):
+        """Goroutines parked at one site hold the same frame objects, even
+        when their printed pointer arguments differ."""
+        stanza = (
+            "goroutine {gid} [chan send, 3 minutes]:\n"
+            "runtime.gopark(0x{gid:x}?)\n"
+            "\t/usr/local/go/src/runtime/proc.go:398 +0xce\n"
+            "main.worker(0xc{gid:06x})\n"
+            "\t/app/worker.go:42 +0x45\n"
+            "created by main.start in goroutine 1\n"
+            "\t/app/worker.go:30 +0x9e\n"
+        )
+        text = "\n".join(stanza.format(gid=gid) for gid in range(2, 12))
+        first, *rest = parse_go_debug2(text).records
+        for record in rest:
+            assert record.user_frames[0] is first.user_frames[0]
+            assert record.creation_ctx is first.creation_ctx

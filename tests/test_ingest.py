@@ -42,6 +42,19 @@ def simulator_leak_text(seed: int = 7) -> str:
     return dump_text(GoroutineProfile.take(rt, service="sim", instance="i-0"))
 
 
+_SIMULATOR_HEADER = "goroutine profile: total 1  process=p time=0.0\n"
+
+#: Simulator-dialect bodies missing a location line or naming no state.
+MALFORMED_SIMULATOR = {
+    "frame without location": _SIMULATOR_HEADER
+    + "goroutine 2 [chan send] name=x:\nruntime.gopark()\n",
+    "created-by without location": _SIMULATOR_HEADER
+    + "goroutine 2 [chan send] name=x:\ncreated by leaky\n",
+    "unknown state": _SIMULATOR_HEADER
+    + "goroutine 2 [IO wait] name=x:\nmain.f()\n\tmain.go:3\n",
+}
+
+
 # ---------------------------------------------------------------------------
 # IngestStore
 
@@ -379,6 +392,21 @@ class TestDaemonRejections:
             client.upload(fixture("malformed_truncated.txt"))
         assert err.value.status == 400
         assert "unparseable" in err.value.reason
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SIMULATOR))
+    def test_malformed_simulator_profile_is_400(self, served, case):
+        """A broken simulator-dialect body is a counted 400, never a 500,
+        and nothing reaches the archive."""
+        server, store = served
+        client = IngestClient(server.url, "acme", "tok-a")
+        with pytest.raises(IngestError) as err:
+            client.upload(MALFORMED_SIMULATOR[case])
+        assert err.value.status == 400
+        assert "unparseable" in err.value.reason
+        assert "goroutine 2" in err.value.reason
+        assert client.stats()["uploads_rejected"] == 1
+        assert client.profiles()["profiles"] == []
+        assert store.profile_count() == 0
 
     def test_garbage_and_empty_bodies_are_400(self, served):
         server, _ = served
