@@ -13,6 +13,13 @@ bottleneck ahead of LeakProf analysis.  Two headline numbers:
 * **uploads/sec** through a live :class:`repro.ingest.IngestServer`
   over loopback HTTP, sqlite archival included.
 
+It also times a first and a repeat :class:`MultiTenantScheduler` scan of
+one in-memory archive, in profiles/sec.  The scheduler memoizes each
+archived profile's suspects, so a repeat scan parses and scans nothing
+and must run at least ``MIN_RESCAN_SPEEDUP`` times the first scan's
+rate.  That gate is a ratio of two rates on one host, so it needs no
+per-host setting.
+
 Floors are set low enough for shared CI runners; the emitted
 ``BENCH_ingest.json`` (uploaded as a CI artifact) records the measured
 rates per run.
@@ -21,7 +28,12 @@ rates per run.
 import os
 import time
 
-from repro.ingest import IngestClient, IngestServer, IngestStore
+from repro.ingest import (
+    IngestClient,
+    IngestServer,
+    IngestStore,
+    MultiTenantScheduler,
+)
 from repro.profiling import parse_go_debug2
 
 from _emit import emit
@@ -59,6 +71,11 @@ UPLOADS = int(os.environ.get("INGEST_UPLOADS", "150"))
 MIN_PARSE_RATE = float(os.environ.get("INGEST_MIN_PARSE_RATE", "2000"))
 MIN_UPLOAD_RATE = float(os.environ.get("INGEST_MIN_UPLOAD_RATE", "20"))
 
+#: The scan archive: this many profiles of ``SCAN_GOROUTINES`` each.
+SCAN_PROFILES = 60
+SCAN_GOROUTINES = 200
+MIN_RESCAN_SPEEDUP = 5.0
+
 
 def build_dump(goroutines: int) -> str:
     chunks = ["goroutine 1 [running]:\nmain.main()\n\t/srv/svc/main.go:10 +0x1\n"]
@@ -78,6 +95,17 @@ def build_distinct_dump(goroutines: int) -> str:
     chunks = ["goroutine 1 [running]:\nmain.main()\n\t/srv/svc/main.go:10 +0x1\n"]
     for gid in range(2, goroutines + 1):
         chunks.append(_DISTINCT_STANZA.format(gid=gid, minutes=gid % 240))
+    return "\n".join(chunks)
+
+
+def build_leak_dump(goroutines: int) -> str:
+    """``build_dump``'s stanzas with every worker parked at one line: one
+    leak, so one suspect per profile."""
+    chunks = ["goroutine 1 [running]:\nmain.main()\n\t/srv/svc/main.go:10 +0x1\n"]
+    for gid in range(2, goroutines + 1):
+        chunks.append(
+            _STANZA.format(gid=gid, minutes=gid % 240, variant=0, line=33)
+        )
     return "\n".join(chunks)
 
 
@@ -105,10 +133,41 @@ def measure_upload_rate() -> float:
     return UPLOADS / elapsed
 
 
+def measure_scan_rates():
+    """Best-of-three first-scan and repeat-scan rates, profiles/s.
+
+    Each round is a fresh scheduler (an empty memo, as after a daemon
+    restart) scanning the archive twice.  A warm-up scan first pays the
+    one-off pattern-probe import, so it lands in neither timing.
+    """
+    store = IngestStore(":memory:")
+    store.register_tenant("bench", "tok", threshold=100)
+    body = build_leak_dump(SCAN_GOROUTINES)
+    for index in range(SCAN_PROFILES):
+        store.store_profile(
+            "bench", body, dialect="go", goroutines=SCAN_GOROUTINES,
+            service="svc", instance=f"i-{index}",
+        )
+    MultiTenantScheduler(store).run_once()
+    first, repeat = [], []
+    for _ in range(3):
+        scheduler = MultiTenantScheduler(store)
+        for rates in (first, repeat):
+            start = time.perf_counter()
+            result = scheduler.run_once()["bench"]
+            elapsed = time.perf_counter() - start
+            assert result.profiles_scanned == SCAN_PROFILES
+            assert len(result.suspects) == SCAN_PROFILES
+            rates.append(SCAN_PROFILES / elapsed)
+    store.close()
+    return max(first), max(repeat)
+
+
 def test_ingest_throughput():
     parse_rate = measure_parse_rate(build_dump(PARSE_GOROUTINES))
     distinct_rate = measure_parse_rate(build_distinct_dump(PARSE_GOROUTINES))
     upload_rate = measure_upload_rate()
+    scan_rate, rescan_rate = measure_scan_rates()
 
     print_table(
         "Ingestion throughput",
@@ -129,6 +188,16 @@ def test_ingest_throughput():
                 f"{UPLOADS} uploads x 60 goroutines",
                 f"{upload_rate:,.0f} uploads/s",
             ),
+            (
+                "scheduler scan, first",
+                f"{SCAN_PROFILES} profiles x {SCAN_GOROUTINES} goroutines",
+                f"{scan_rate:,.0f} profiles/s",
+            ),
+            (
+                "scheduler scan, repeat",
+                f"{SCAN_PROFILES} profiles x {SCAN_GOROUTINES} goroutines",
+                f"{rescan_rate:,.0f} profiles/s",
+            ),
         ],
     )
     emit(
@@ -138,9 +207,13 @@ def test_ingest_throughput():
         unit="goroutines/s",
         distinct_frames_parse_goroutines_per_sec=round(distinct_rate),
         uploads_per_sec=round(upload_rate, 1),
+        scan_profiles_per_sec=round(scan_rate, 1),
+        rescan_profiles_per_sec=round(rescan_rate, 1),
         parse_goroutines=PARSE_GOROUTINES,
         uploads=UPLOADS,
+        scan_profiles=SCAN_PROFILES,
     )
     assert parse_rate >= MIN_PARSE_RATE
     assert distinct_rate >= MIN_PARSE_RATE
     assert upload_rate >= MIN_UPLOAD_RATE
+    assert rescan_rate >= MIN_RESCAN_SPEEDUP * scan_rate

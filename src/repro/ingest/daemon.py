@@ -46,7 +46,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.leakprof.detector import scan_fleet
 from repro.obs.registry import (
     MetricsRegistry,
     monotonic as _monotonic,
@@ -512,14 +511,14 @@ class IngestServer:
 
     def _handle_suspects(self, tenant: Tenant) -> Dict:
         """Threshold scan over the tenant's archive — read-only (nothing
-        is filed; the scheduler owns report filing)."""
-        profiles = [
-            item.parse() for item in self.store.profiles_for(tenant.name)
-        ]
-        suspects = scan_fleet(profiles, threshold=tenant.threshold)
+        is filed or quarantined; the scheduler owns both).  It shares the
+        scheduler's scan memo; rows that no longer parse are left out
+        and counted as ``unparseable``."""
+        scanned, suspects, unparseable = self.scheduler.suspects(tenant)
         return {
             "tenant": tenant.name,
-            "profiles_scanned": len(profiles),
+            "profiles_scanned": scanned,
+            "unparseable": unparseable,
             "suspects": [
                 {
                     "service": s.service,

@@ -30,20 +30,59 @@ Failure handling (the chaos plane's contract with this module):
   (:meth:`~repro.ingest.store.IngestStore.quarantine_profile`) instead
   of re-crashing every future sweep, counted in
   ``repro_ingest_quarantined_total``.
+
+Incremental scans (the scan memo): archive rows never change once
+written, and one profile's suspects depend only on its row, the
+tenant's threshold and the transient filter.  So each scheduler keeps,
+in memory, every archived profile's suspects with the threshold they
+were scanned at, and a run parses and scans only the profiles it has
+not seen at the current threshold.  A run still lists the whole archive
+once (one ``profiles_for`` call per tenant), so its parse-and-scan cost
+is O(profiles added since the last run); everything after the scan
+phase (RMS ranking over every suspect, filing, diagnosis) is unchanged
+and still covers the whole archive.  The memo holds suspect tuples, not
+profiles: about 1.2 KiB per archived profile carrying one suspect.  It
+starts empty, so the first run after a restart parses everything; a
+threshold re-tune
+(:meth:`~repro.ingest.store.IngestStore.register_tenant`) makes the next
+run re-scan every profile; each run drops the entries of ids no longer
+listed (quarantined rows), so it never outgrows the live archive.  The
+daemon's read-only ``GET .../suspects`` goes through the same memo, and
+``repro_ingest_scan_profiles_total{result="parsed"|"cached"}`` counts,
+over both, which profiles were parsed and which answered from the memo.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro import obs
-from repro.leakprof import LeakProf, LeakReport, OwnershipRouter, Suspect
+from repro.leakprof import (
+    LeakProf,
+    LeakReport,
+    OwnershipRouter,
+    Suspect,
+    scan_profile,
+)
 from repro.leakprof.impact import LeakCandidate
 from repro.obs.registry import monotonic as _monotonic
+from repro.profiling import GoroutineProfile
 
 from .resilience import BreakerState, CircuitBreaker
-from .store import IngestStore, PersistentBugDatabase, Tenant
+from .store import IngestStore, PersistentBugDatabase, StoredProfile, Tenant
+
+
+class _Archived(NamedTuple):
+    """One live archive row as a scan sees it: the parsed profile when
+    the memo holds no verdict for it at the tenant's threshold, else the
+    memoized suspects."""
+
+    profile_id: int
+    profile: Optional[GoroutineProfile]
+    suspects: Optional[Tuple[Suspect, ...]]
 
 
 @dataclass
@@ -124,6 +163,11 @@ class MultiTenantScheduler:
         self.breaker_cooldown = breaker_cooldown
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._sweeps = 0  # the run counter clocking every breaker
+        # The scan memo: tenant -> profile id -> (threshold, suspects).
+        # The daemon scans from several threads, so every access to it
+        # holds the lock.
+        self._memo: Dict[str, Dict[int, Tuple[int, Tuple[Suspect, ...]]]] = {}
+        self._memo_lock = threading.Lock()
 
     def bug_db(self, tenant: str) -> PersistentBugDatabase:
         """The tenant's durable bug database (fresh view of the store)."""
@@ -142,31 +186,97 @@ class MultiTenantScheduler:
 
     # -- one tenant ----------------------------------------------------------
 
+    def _read_archive(
+        self, tenant: Tenant
+    ) -> Tuple[List[_Archived], List[Tuple[StoredProfile, Exception]]]:
+        """List the tenant's archive once; parse only what the memo lacks.
+
+        Returns one :class:`_Archived` per row that parsed or is memoized
+        at ``tenant.threshold``, in archive order, and ``(row, error)``
+        for each row whose parse raised.  Memo entries of ids no longer
+        listed are dropped first.
+        """
+        listing = self.store.profiles_for(tenant.name)
+        live = {stored.profile_id for stored in listing}
+        with self._memo_lock:
+            kept = {
+                pid: verdict
+                for pid, verdict in self._memo.get(tenant.name, {}).items()
+                if pid in live
+            }
+            self._memo[tenant.name] = kept
+            known = {
+                pid: suspects
+                for pid, (threshold, suspects) in kept.items()
+                if threshold == tenant.threshold
+            }
+        items: List[_Archived] = []
+        failures: List[Tuple[StoredProfile, Exception]] = []
+        for stored in listing:
+            suspects = known.get(stored.profile_id)
+            if suspects is not None:
+                items.append(_Archived(stored.profile_id, None, suspects))
+                continue
+            try:
+                profile = stored.parse()
+            except Exception as err:
+                failures.append((stored, err))
+                continue
+            items.append(_Archived(stored.profile_id, profile, None))
+        scanned = obs.counter(
+            "repro_ingest_scan_profiles_total",
+            "Archived profiles per scan: parsed, or answered from the memo",
+            ("result",),
+        )
+        cached = sum(1 for item in items if item.suspects is not None)
+        scanned.labels("parsed").inc(len(items) - cached)
+        scanned.labels("cached").inc(cached)
+        return items, failures
+
+    def _scan(self, tenant: Tenant, item: _Archived) -> Tuple[Suspect, ...]:
+        """One archived profile's suspects, scanned and memoized once."""
+        if item.suspects is not None:
+            return item.suspects
+        suspects = tuple(scan_profile(item.profile, threshold=tenant.threshold))
+        with self._memo_lock:
+            self._memo.setdefault(tenant.name, {})[item.profile_id] = (
+                tenant.threshold,
+                suspects,
+            )
+        return suspects
+
+    def suspects(self, tenant: Tenant) -> Tuple[int, List[Suspect], int]:
+        """Read-only threshold scan of the tenant's archive, via the memo.
+
+        Nothing is filed and nothing is quarantined (that is
+        :meth:`run_tenant`'s job): a row that no longer parses is left
+        out and counted.  Returns ``(profiles_scanned, suspects,
+        unparseable)``.
+        """
+        items, failures = self._read_archive(tenant)
+        suspects = [s for item in items for s in self._scan(tenant, item)]
+        return len(items), suspects, len(failures)
+
     def _sweep_archive(self, tenant: Tenant, now: float):
-        """Parse the tenant's archive, dead-lettering poison profiles.
+        """Read the tenant's archive, dead-lettering poison profiles.
 
         A profile whose parse raises is quarantined (removed from the
         live archive, bytes kept in the dead-letter table) so it is
         inspected once and never crashes a sweep again.
         """
-        profiles = []
-        quarantined = 0
-        for item in self.store.profiles_for(tenant.name):
-            try:
-                profiles.append(item.parse())
-            except Exception as err:
-                self.store.quarantine_profile(
-                    item,
-                    reason=f"{type(err).__name__}: {err}",
-                    at=now,
-                )
-                quarantined += 1
-                obs.counter(
-                    "repro_ingest_quarantined_total",
-                    "Poison profiles dead-lettered during archive sweeps",
-                    ("tenant",),
-                ).labels(tenant.name).inc()
-        return profiles, quarantined
+        items, failures = self._read_archive(tenant)
+        for stored, err in failures:
+            self.store.quarantine_profile(
+                stored,
+                reason=f"{type(err).__name__}: {err}",
+                at=now,
+            )
+            obs.counter(
+                "repro_ingest_quarantined_total",
+                "Poison profiles dead-lettered during archive sweeps",
+                ("tenant",),
+            ).labels(tenant.name).inc()
+        return items, len(failures)
 
     def run_tenant(
         self, tenant: Tenant, now: float = 0.0
@@ -174,7 +284,8 @@ class MultiTenantScheduler:
         """One daily run for one tenant.
 
         Traced as an ``ingest.run_tenant`` root span: the archive sweep
-        (``ingest.sweep``), the nested ``leakprof.detect`` tree, and the
+        (``ingest.sweep``, where new profiles are parsed), the nested
+        ``leakprof.detect`` tree (``leakprof.scan`` scans them), and the
         ``remedy.diagnose`` pass all land as its children.
         """
         reg = obs.default_registry()
@@ -193,7 +304,9 @@ class MultiTenantScheduler:
                 bug_db=self.bug_db(tenant.name),
                 remediator=self.remediator,
             )
-            result = leakprof.analyze_profiles(profiles, now=now)
+            result = leakprof.analyze_profiles(
+                profiles, now=now, scan=partial(self._scan, tenant)
+            )
             diagnoses: Dict[str, object] = {}
             diagnose = self._resolve_diagnose()
             if diagnose is not None:

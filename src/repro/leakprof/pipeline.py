@@ -71,23 +71,33 @@ class LeakProf:
         profiles: Sequence[GoroutineProfile],
         now: float = 0.0,
         memory_footprints=None,
+        scan: Optional[Callable[[object], Sequence[Suspect]]] = None,
     ) -> DailyRunResult:
         """Run detection over already-collected profiles.
 
         Instrumented per phase (scan → rank → file) into the shared
         :mod:`repro.obs` registry, and traced as a ``leakprof.detect``
         span whose children are those phases.
+
+        ``scan``, when given, replaces :func:`scan_fleet` as the scan
+        phase: it is called once per item of ``profiles``, in order, and
+        returns that item's suspects at this run's threshold and
+        transient filter.  The ingest scheduler passes one that answers
+        from its per-profile memo, so items need not be parsed profiles.
         """
         reg = obs.default_registry()
         tracer = obs.default_tracer()
         with tracer.span("leakprof.detect", profiles=len(profiles)) as det:
             phase_started = _monotonic()
             with tracer.span("leakprof.scan"):
-                suspects = scan_fleet(
-                    profiles,
-                    threshold=self.threshold,
-                    apply_transient_filter=self.apply_transient_filter,
-                )
+                if scan is None:
+                    suspects = scan_fleet(
+                        profiles,
+                        threshold=self.threshold,
+                        apply_transient_filter=self.apply_transient_filter,
+                    )
+                else:
+                    suspects = [s for item in profiles for s in scan(item)]
             self._observe_phase(reg, "scan", phase_started)
             candidates, new_reports, duplicates = self._rank_and_file(
                 reg, tracer, det, suspects, now, memory_footprints

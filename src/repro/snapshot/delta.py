@@ -198,6 +198,25 @@ class DeltaTracker:
         )
 
 
+def _materialize(entry: WireRecord, now: float) -> GoroutineRecord:
+    """A wire record's template with its wait age at instant ``now``."""
+    # The positional constructor: ``dataclasses.replace`` costs twice as
+    # much, and a leaky fleet's snapshots build one record per goroutine.
+    template, blocked_since = entry
+    if blocked_since is None or now <= blocked_since:
+        return template
+    return GoroutineRecord(
+        template.gid,
+        template.name,
+        template.state,
+        template.user_frames,
+        template.creation_ctx,
+        now - blocked_since,
+        template.wait_detail,
+        template.proof,
+    )
+
+
 class InstanceView:
     """Parent-side materialized view of one remote instance.
 
@@ -316,13 +335,7 @@ class InstanceView:
 
     def record_at(self, gid: int) -> GoroutineRecord:
         """One record materialized at the view's current instant."""
-        template, blocked_since = self.records[gid]
-        if blocked_since is None:
-            return template
-        age = max(0.0, self.stats.t - blocked_since)
-        if age == 0.0:
-            return template
-        return replace(template, wait_seconds=age)
+        return _materialize(self.records[gid], self.stats.t)
 
     def snapshot(self) -> InstanceSnapshot:
         """Materialize the full ``InstanceSnapshot``-equivalent state."""
@@ -342,7 +355,8 @@ class InstanceView:
             steps=stats.steps,
             gc=self.gc,
             records=tuple(
-                self.record_at(gid) for gid in sorted(self.records)
+                _materialize(entry, stats.t)
+                for _, entry in sorted(self.records.items())
             ),
         )
         last_metrics = None

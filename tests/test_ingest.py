@@ -292,6 +292,24 @@ class TestDaemon:
         }
         assert store.report_count() == 0  # nothing filed
 
+    def test_suspects_endpoint_skips_unparseable_rows(self, served):
+        """A stored body that no longer parses is left out and counted:
+        the read-only endpoint answers 200 and quarantines nothing."""
+        server, store = served
+        acme, _ = self._upload_fleet(server)
+        store.store_profile(
+            "acme", MALFORMED_SIMULATOR["unknown state"],
+            dialect="simulator", goroutines=1,
+        )
+        body = acme.suspects()
+        assert body["profiles_scanned"] == 3
+        assert body["unparseable"] == 1
+        assert {s["location"] for s in body["suspects"]} == {
+            "/srv/transactions/cost.go:8", "/srv/checkout/quote.go:73",
+        }
+        assert store.quarantine_count() == 0
+        assert len(store.profiles_for("acme")) == 4
+
     def test_funnel_survives_daemon_restart(self, served, tmp_path):
         server, store = served
         acme, _ = self._upload_fleet(server)
@@ -601,3 +619,177 @@ class TestQuarantineCli:
         assert entry["tenant"] == "acme"
         assert entry["body"] == poison_profile_text(seed=3)
         assert entry["reason"]
+
+
+# ---------------------------------------------------------------------------
+# The scheduler's scan memo: each archived profile parsed once per daemon
+
+
+def _scan_profiles_total(result: str) -> float:
+    from repro import obs
+
+    samples = obs.snapshot().get("repro_ingest_scan_profiles_total", {})
+    return samples.get("samples", {}).get(f"result={result}", 0.0)
+
+
+class TestScanMemo:
+    UPLOADS = (
+        ("go1.19_chan_send_leak.txt", "i-1"),
+        ("go1.21_wait_states.txt", "i-1"),
+        ("go1.22_select_timeout_leak.txt", "i-2"),
+    )
+
+    def _upload(self, store, tenant, uploads, at):
+        for name, instance in uploads:
+            store.store_profile(
+                tenant, fixture(name), dialect="go", goroutines=0,
+                service=tenant, instance=instance, received_at=at,
+            )
+
+    def _script(self, store, scan):
+        """uploads -> scan -> more uploads -> scan -> threshold re-tune
+        -> poison row -> scan; returns every scan's results."""
+        from repro.chaos import poison_profile_text
+
+        store.register_tenant("acme", "tok-a", threshold=3)
+        store.register_tenant("globex", "tok-b", threshold=3)
+        self._upload(store, "acme", self.UPLOADS[:2], at=1.0)
+        self._upload(store, "globex", self.UPLOADS[2:], at=1.0)
+        store.store_profile(
+            "globex", simulator_leak_text(), dialect="simulator",
+            goroutines=0, instance="i-9", received_at=1.0,
+        )
+        results = [scan(1.0)]
+        self._upload(store, "acme", self.UPLOADS[2:], at=2.0)
+        self._upload(store, "globex", self.UPLOADS[:1], at=2.0)
+        results.append(scan(2.0))
+        store.register_tenant("acme", "tok-a", threshold=5)
+        store.register_tenant("globex", "tok-b", threshold=2)
+        store.store_profile(
+            "acme", poison_profile_text(seed=5), dialect="simulator",
+            goroutines=0,
+        )
+        results.append(scan(3.0))
+        return results
+
+    def test_memoized_scans_match_a_fresh_scheduler(self, tmp_path):
+        memo_store = IngestStore(str(tmp_path / "memo.sqlite"))
+        fresh_store = IngestStore(str(tmp_path / "fresh.sqlite"))
+        scheduler = MultiTenantScheduler(memo_store)
+        memoized = self._script(
+            memo_store, lambda now: scheduler.run_once(now=now)
+        )
+        fresh = self._script(
+            fresh_store,
+            lambda now: MultiTenantScheduler(fresh_store).run_once(now=now),
+        )
+        assert memoized == fresh
+        acme = [run["acme"] for run in memoized]
+        assert [r.profiles_scanned for r in acme] == [2, 3, 3]
+        assert [len(r.new_reports) for r in acme] == [1, 1, 0]
+        assert acme[2].quarantined == 1
+        assert len(acme[1].suspects) == 2 and acme[2].suspects == []
+        assert all(r.diagnoses for r in memoized[1].values())
+        memo_store.close()
+        fresh_store.close()
+
+    def test_repeat_scans_parse_only_new_profiles(self, tmp_path):
+        store = IngestStore(str(tmp_path / "counts.sqlite"))
+        store.register_tenant("acme", "tok-a", threshold=3)
+        self._upload(store, "acme", self.UPLOADS[:2], at=1.0)
+        scheduler = MultiTenantScheduler(store)
+
+        def scan_counts(scheduler=scheduler):
+            parsed = _scan_profiles_total("parsed")
+            cached = _scan_profiles_total("cached")
+            result = scheduler.run_once(now=1.0)["acme"]
+            return (
+                result.profiles_scanned,
+                _scan_profiles_total("parsed") - parsed,
+                _scan_profiles_total("cached") - cached,
+            )
+
+        assert scan_counts() == (2, 2, 0)
+        assert scan_counts() == (2, 0, 2)
+        self._upload(store, "acme", self.UPLOADS[2:], at=2.0)
+        assert scan_counts() == (3, 1, 2)
+        # a threshold re-tune re-scans everything, then memoizes again
+        store.register_tenant("acme", "tok-a", threshold=4)
+        assert scan_counts() == (3, 3, 0)
+        assert scan_counts() == (3, 0, 3)
+        # a restarted daemon starts from an empty memo
+        assert scan_counts(MultiTenantScheduler(store)) == (3, 3, 0)
+        store.close()
+
+    def test_quarantined_ids_leave_the_memo(self, tmp_path):
+        from repro.chaos import poison_profile_text
+
+        store = IngestStore(str(tmp_path / "prune.sqlite"))
+        store.register_tenant("acme", "tok-a", threshold=3)
+        self._upload(store, "acme", self.UPLOADS, at=1.0)
+        store.store_profile(
+            "acme", poison_profile_text(seed=1), dialect="simulator",
+            goroutines=0,
+        )
+        scheduler = MultiTenantScheduler(store)
+        assert scheduler.run_once()["acme"].quarantined == 1
+        live = [p.profile_id for p in store.profiles_for("acme")]
+        assert sorted(scheduler._memo["acme"]) == live
+        # an operator dead-letters a row that had been scanned
+        store.quarantine_profile(store.profiles_for("acme")[0], reason="op")
+        result = scheduler.run_once()["acme"]
+        assert result.profiles_scanned == 2
+        assert sorted(scheduler._memo["acme"]) == live[1:]
+        store.close()
+
+    def test_suspects_reads_race_scans_safely(self, tmp_path):
+        """GET suspects from several threads while POST scans run: every
+        answer equals a fresh scheduler's, and nothing raises."""
+        import sys
+        import threading
+
+        store = IngestStore(str(tmp_path / "race.sqlite"))
+        store.register_tenant("acme", "tok-a", threshold=3)
+        for round_ in range(4):
+            self._upload(store, "acme", self.UPLOADS, at=float(round_))
+        with IngestServer(store) as server:  # uncontended, empty memo
+            expected = IngestClient(server.url, "acme", "tok-a").suspects()
+        assert expected["profiles_scanned"] == 12
+        assert len(expected["suspects"]) == 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):  # a fresh daemon, so an empty memo, per round
+                with IngestServer(store, admin_token="adm") as server:
+                    answers, errors = [], []
+
+                    def read():
+                        client = IngestClient(server.url, "acme", "tok-a")
+                        try:
+                            for _ in range(3):
+                                answers.append(client.suspects())
+                        except Exception as err:  # reported below
+                            errors.append(err)
+
+                    readers = [threading.Thread(target=read) for _ in range(4)]
+                    for reader in readers:
+                        reader.start()
+                    admin = IngestClient(server.url, "-", "adm")
+                    scans = [admin.scan() for _ in range(2)]
+                    for reader in readers:
+                        reader.join(timeout=30.0)
+                        assert not reader.is_alive()
+                assert errors == []
+                assert len(answers) == 12
+                assert all(answer == expected for answer in answers)
+                assert all(
+                    scan["tenants"]["acme"]["profiles_scanned"] == 12
+                    and scan["tenants"]["acme"]["suspects"] == 8
+                    for scan in scans
+                )
+                assert sorted(server.scheduler._memo["acme"]) == [
+                    p.profile_id for p in store.profiles_for("acme")
+                ]
+        finally:
+            sys.setswitchinterval(interval)
+        store.close()
